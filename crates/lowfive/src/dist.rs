@@ -231,7 +231,7 @@ impl HotProfile {
 
 /// Consumer-side cache of remote lookups, so repeated reads of the same
 /// region skip the metadata and redirect round-trips entirely. Populated
-/// only when the pipelined fetch path is active; every entry for a file
+/// only when the pipelined fetch path is active; every lookup for a file
 /// is dropped at `file_close`, so reopening a (possibly rewritten)
 /// snapshot always refetches.
 #[derive(Default)]
@@ -243,11 +243,20 @@ struct FetchCache {
     owners: HashMap<(String, String, BBox), Vec<usize>>,
     /// `(file, producer world rank)` → the generation that producer last
     /// reported for the file. Every reply (metadata, redirect, data)
-    /// carries the serving file's live generation; when a producer
-    /// reports one that differs from what it reported before, the file
-    /// was rewritten in place and every cached lookup for it is dropped
-    /// (see [`DistMetadataVol::note_gen`]).
-    gens: HashMap<(String, usize), u64>,
+    /// carries the serving file's live generation. Staleness is judged
+    /// per open session: `file_close` demotes the file's records, so the
+    /// next session's first reply from each producer sets its baseline,
+    /// and only a change *within* a session drops the cached lookups and
+    /// triggers a retry (see [`DistMetadataVol::note_gen`]).
+    gens: HashMap<(String, usize), NotedGen>,
+}
+
+/// A generation a producer reported for a file, and whether it was
+/// reported during the file's current open session.
+#[derive(Clone, Copy)]
+struct NotedGen {
+    gen: u64,
+    in_session: bool,
 }
 
 /// The distributed metadata connector.
@@ -1161,13 +1170,17 @@ impl DistMetadataVol {
 
     /// Record the generation a producer reported for `file`. Returns
     /// true — after dropping every cached lookup for the file — when it
-    /// differs from the last generation that producer reported: the
-    /// cached metadata and owner lists were built against a snapshot the
-    /// producer has since rewritten.
+    /// differs from a generation that producer reported earlier in the
+    /// file's current open session: the cached metadata and owner lists
+    /// were built against a snapshot the producer has since rewritten.
+    /// The first report after `file_close` (or ever) sets the session's
+    /// baseline and returns false — close already dropped the caches a
+    /// bump could invalidate.
     pub(crate) fn note_gen(&self, file: &str, server: usize, gen: u64) -> bool {
         let mut cache = self.fetch_cache.lock();
-        match cache.gens.insert((file.to_string(), server), gen) {
-            Some(old) if old != gen => {
+        let noted = NotedGen { gen, in_session: true };
+        match cache.gens.insert((file.to_string(), server), noted) {
+            Some(old) if old.in_session && old.gen != gen => {
                 cache.meta.remove(file);
                 cache.owners.retain(|(f, _, _), _| f != file);
                 true
@@ -1177,12 +1190,12 @@ impl DistMetadataVol {
     }
 
     /// The last generation producer world rank `server` reported for
-    /// `file` on this consumer, if any reply has carried one yet. Step
-    /// subscribers compare this against an announce's generation to
-    /// detect a slot recycled mid-read
+    /// `file` on this consumer, if any reply has carried one yet — also
+    /// after the file was closed. Step subscribers compare this against
+    /// an announce's generation to detect a slot recycled mid-read
     /// ([`crate::stream::StepSubscription::is_torn`]).
     pub fn noted_gen(&self, file: &str, server: usize) -> Option<u64> {
-        self.fetch_cache.lock().gens.get(&(file.to_string(), server)).copied()
+        self.fetch_cache.lock().gens.get(&(file.to_string(), server)).map(|n| n.gen)
     }
 
     fn consumer_open(&self, name: &str, link: &Link) -> H5Result<ObjId> {
@@ -1413,15 +1426,19 @@ impl DistMetadataVol {
     /// data fetch.
     ///
     /// If any reply carries a generation differing from what its
-    /// producer reported before, the cached lookups this read may have
-    /// used were built against a stale snapshot; [`Self::note_gen`] has
-    /// already dropped them, and one clean second pass re-resolves
-    /// everything against the live state.
+    /// producer reported earlier in this open session (a cached owner
+    /// list used across an in-place rewrite, or intersect and data
+    /// replies that disagree), the lookups this read used were built
+    /// against a stale snapshot; [`Self::note_gen`] has already dropped
+    /// them, and one clean second pass re-resolves everything against
+    /// the live state. A file recreated between sessions never retries:
+    /// the reopen's first replies set the baseline.
     fn remote_read_pipelined(&self, dset: ObjId, sels: &[Selection]) -> H5Result<Vec<Bytes>> {
         let (bufs, stale) = self.remote_read_pipelined_once(dset, sels)?;
         if !stale {
             return Ok(bufs);
         }
+        obsv::counter_add(obsv::Ctr::FetchStaleRetries, 1);
         Ok(self.remote_read_pipelined_once(dset, sels)?.0)
     }
 
@@ -1599,11 +1616,18 @@ impl DistMetadataVol {
         };
         // Closing ends this consumer's view of the snapshot: drop every
         // cached lookup for the file so a later open (possibly of a
-        // rewritten file with the same name) refetches.
+        // rewritten file with the same name) refetches, and demote the
+        // remembered generations so that open sets a fresh baseline
+        // instead of reading the rewrite as a mid-session change.
         {
             let mut cache = self.fetch_cache.lock();
             cache.meta.remove(filename.as_ref());
             cache.owners.retain(|(f, _, _), _| f.as_str() != filename.as_ref());
+            for ((f, _), noted) in cache.gens.iter_mut() {
+                if f.as_str() == filename.as_ref() {
+                    noted.in_session = false;
+                }
+            }
         }
         for p in producers {
             // DONE is a *call*, not a notification: the producer's serve

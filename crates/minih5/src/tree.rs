@@ -153,13 +153,25 @@ impl Hierarchy {
         self.files.keys().cloned().collect()
     }
 
-    /// Drop a file's entry (its nodes stay in the arena; ids remain valid
-    /// for handles already open, mirroring HDF5's delayed file teardown).
+    /// Drop a file's entry and release its subtree: every node's
+    /// children, attributes and dataset regions are freed, so rewriting a
+    /// file under the same name does not accumulate the old data. The
+    /// nodes themselves stay in the arena as empty tombstones (a dataset
+    /// keeps its type and extent and reads as fill), so an id held by a
+    /// stale handle stays valid and never aliases a node of a new file.
     pub fn remove_file(&mut self, filename: &str) -> H5Result<()> {
-        self.files
-            .remove(filename)
-            .map(|_| ())
-            .ok_or_else(|| H5Error::NotFound(filename.to_string()))
+        let root =
+            self.files.remove(filename).ok_or_else(|| H5Error::NotFound(filename.to_string()))?;
+        let mut stack = vec![root];
+        while let Some(id) = stack.pop() {
+            let node = self.node_mut(id);
+            stack.append(&mut node.children);
+            node.attributes.clear();
+            if let NodeKind::Dataset { regions, .. } = &mut node.kind {
+                *regions = Vec::new();
+            }
+        }
+        Ok(())
     }
 
     fn child_by_name(&self, parent: NodeId, name: &str) -> Option<NodeId> {
@@ -578,5 +590,37 @@ mod tests {
         assert!(h.file("a.h5").is_none());
         assert!(h.create_file("a.h5").is_ok());
         assert!(h.remove_file("zzz").is_err());
+    }
+
+    #[test]
+    fn remove_file_releases_region_bytes() {
+        fn region_bytes(h: &Hierarchy) -> usize {
+            h.nodes
+                .iter()
+                .map(|n| match &n.kind {
+                    NodeKind::Dataset { regions, .. } => regions.iter().map(|r| r.data.len()).sum(),
+                    _ => 0,
+                })
+                .sum()
+        }
+        let mut h = Hierarchy::new();
+        let (f, grid) = grid_file(&mut h);
+        let vals = Bytes::from(vec![7u8; 64 * 8]);
+        h.write_region(grid, Selection::all(), vals, Ownership::Shallow).unwrap();
+        h.set_attr(f, "step", Datatype::UInt8, Bytes::from_static(&[1]));
+        assert_eq!(region_bytes(&h), 64 * 8);
+        let before = h.len();
+
+        h.remove_file("step1.h5").unwrap();
+        assert_eq!(region_bytes(&h), 0, "the removed file's regions must be freed");
+        assert!(h.attr(f, "step").is_err());
+        assert!(h.children_of(f).is_empty());
+
+        // The stale id still resolves, to an empty dataset that reads as
+        // fill; the recreated file gets fresh ids.
+        assert_eq!(h.read_region(grid, &Selection::all()).unwrap(), Bytes::from(vec![0u8; 64 * 8]));
+        let (f2, grid2) = grid_file(&mut h);
+        assert!(f2.0 >= before && grid2.0 >= before);
+        assert!(h.regions(grid).unwrap().is_empty());
     }
 }

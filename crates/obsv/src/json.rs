@@ -251,12 +251,17 @@ fn parse_str(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
             }
             Some(_) => {
-                // Advance by whole UTF-8 characters.
-                let rest = std::str::from_utf8(&bytes[*pos..])
-                    .map_err(|_| "invalid utf-8 in string".to_string())?;
-                let c = rest.chars().next().expect("nonempty");
-                out.push(c);
-                *pos += c.len_utf8();
+                // Copy the whole unescaped run up to the next quote or
+                // backslash, validating it once. Both delimiters are ASCII,
+                // which never occurs inside a multi-byte UTF-8 sequence, so
+                // the run always ends on a character boundary.
+                let start = *pos;
+                while *pos < bytes.len() && !matches!(bytes[*pos], b'"' | b'\\') {
+                    *pos += 1;
+                }
+                let run = std::str::from_utf8(&bytes[start..*pos])
+                    .map_err(|_| format!("invalid utf-8 in string at byte {start}"))?;
+                out.push_str(run);
             }
         }
     }
@@ -346,6 +351,31 @@ mod tests {
         assert!(parse("[1,]").is_err());
         assert!(parse("{\"a\" 1}").is_err());
         assert!(parse("1 2").is_err());
+    }
+
+    #[test]
+    fn multibyte_strings_roundtrip() {
+        let text = "π ≈ 3.14 — naïve 日本 🦀 \"q\" done";
+        let v = obj(vec![("ключ", s(text)), ("k", s("é\\\u{1}"))]);
+        assert_eq!(parse(&v.to_json()).expect("parse"), v);
+        assert_eq!(parse("\"a\\u00e9b\"").expect("parse"), s("aéb"));
+    }
+
+    #[test]
+    fn invalid_utf8_in_string_is_err() {
+        for raw in [&b"\"\xff\""[..], b"\"ok\xc3\"", b"[\"\xe6\x97\"]", b"{\"\x80\":1}"] {
+            let mut pos = 0;
+            assert!(parse_value(raw, &mut pos).is_err(), "accepted {raw:?}");
+        }
+    }
+
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        let long = "ü".repeat(1 << 18);
+        let doc = Value::Arr(vec![s(&long); 4]).to_json();
+        let start = std::time::Instant::now();
+        assert_eq!(parse(&doc).expect("parse").as_arr().map(<[Value]>::len), Some(4));
+        assert!(start.elapsed() < std::time::Duration::from_secs(5), "{:?}", start.elapsed());
     }
 
     #[test]

@@ -191,6 +191,11 @@ pub enum Ctr {
     FetchCacheHits,
     /// Consumer fetch-cache lookups that had to go to the wire.
     FetchCacheMisses,
+    /// Pipelined consumer reads that took their one clean second pass
+    /// because a producer reported a new file generation within the
+    /// file's open session (an in-place rewrite mid-read). Zero for a
+    /// workflow that only rewrites files between open sessions.
+    FetchStaleRetries,
     /// Dataset-payload bytes memcpy'd on the transport path: serve-side
     /// gathers of deep regions, multi-part payload flattens, and
     /// intermediate reply copies. Header/metadata encoding and the final
@@ -252,7 +257,7 @@ pub enum Ctr {
 }
 
 /// Number of [`Ctr`] variants (the fixed width of every counter array).
-pub const NUM_CTRS: usize = 38;
+pub const NUM_CTRS: usize = 39;
 
 impl Ctr {
     /// Every counter, in declaration order.
@@ -279,6 +284,7 @@ impl Ctr {
         Ctr::FetchBatches,
         Ctr::FetchCacheHits,
         Ctr::FetchCacheMisses,
+        Ctr::FetchStaleRetries,
         Ctr::BytesCopied,
         Ctr::ReplicaPuts,
         Ctr::ReadRepairs,
@@ -322,6 +328,7 @@ impl Ctr {
             Ctr::FetchBatches => "fetch_batches",
             Ctr::FetchCacheHits => "fetch_cache_hits",
             Ctr::FetchCacheMisses => "fetch_cache_misses",
+            Ctr::FetchStaleRetries => "fetch_stale_retries",
             Ctr::BytesCopied => "bytes_copied",
             Ctr::ReplicaPuts => "replica_puts",
             Ctr::ReadRepairs => "read_repairs",
