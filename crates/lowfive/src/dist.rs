@@ -25,11 +25,14 @@
 //! loop lends refcounted sub-slices of the producer's regions into a
 //! multi-part [`ReplyFrame`] instead of gathering them into an
 //! intermediate blob, and consumers scatter the reply parts straight into
-//! the destination buffer with a [`PayloadReader`]. Deep regions
-//! (`set_zero_copy(…, false)`) keep the historical gather-copy, counted
-//! under `obsv::Ctr::BytesCopied`. Every reply also carries the file's
-//! write *generation*, which consumers use to invalidate their fetch
-//! caches when a producer rewrites a file in place.
+//! the destination buffer with a [`PayloadReader`], a forward cursor over
+//! the parts, so each segment costs its own bytes whatever the part
+//! count; the packed buffer is then returned as `Bytes` without a copy.
+//! Deep regions (`set_zero_copy(…, false)`) keep the historical
+//! gather-copy, counted under `obsv::Ctr::BytesCopied`. Every reply also
+//! carries the file's write *generation*, which consumers use to
+//! invalidate their fetch caches when a producer rewrites a file in
+//! place.
 
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};

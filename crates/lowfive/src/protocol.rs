@@ -71,8 +71,10 @@
 //! producer's shallow regions. The flattened byte stream of such a frame
 //! is byte-identical to the contiguous encoders below, so either side may
 //! use either representation. Consumers walk the parts in place with a
-//! [`PayloadReader`] and scatter straight into the destination buffer —
-//! the only copy on the whole path is that final placement.
+//! [`PayloadReader`] — a forward cursor, so a reply walks in time linear
+//! in its length whatever its part count — and scatter straight into the
+//! destination buffer: the only copy on the whole path is that final
+//! placement.
 //!
 //! The byte-level layout of every frame is specified in the repository's
 //! `docs/PROTOCOL.md`; the encoder/decoder pairs in this module are the
@@ -865,63 +867,89 @@ impl ReplyFrame {
 /// [`PayloadReader::copy_into`] scatters blob bytes straight into the
 /// caller's destination buffer — the single unavoidable copy of the
 /// zero-copy fetch path.
+///
+/// The cursor is a forward position (part index, offset in that part,
+/// bytes left) over the untouched parts, so every read and skip costs
+/// only the bytes it covers: walking a reply is linear in its length
+/// whatever its part count.
 pub struct PayloadReader {
     p: Payload,
+    /// Index of the part holding the next byte.
+    part: usize,
+    /// Offset of the next byte within that part.
+    off: usize,
+    /// Bytes remaining past the cursor.
+    left: usize,
 }
 
 impl PayloadReader {
     /// Start reading `p` from its first byte.
     pub fn new(p: Payload) -> Self {
-        PayloadReader { p }
+        let left = p.len();
+        PayloadReader { p, part: 0, off: 0, left }
     }
 
     /// Read one byte off the front of the payload.
     pub fn get_u8(&mut self) -> H5Result<u8> {
         let mut b = [0u8; 1];
-        self.read_exact(&mut b)?;
+        self.copy_into(&mut b)?;
         Ok(b[0])
     }
 
     /// Read a little-endian `u64` off the front of the payload.
     pub fn get_u64(&mut self) -> H5Result<u64> {
         let mut b = [0u8; 8];
-        self.read_exact(&mut b)?;
+        self.copy_into(&mut b)?;
         Ok(u64::from_le_bytes(b))
     }
 
     /// Copy exactly `dst.len()` bytes off the front of the payload into
     /// `dst` and advance past them.
     pub fn copy_into(&mut self, dst: &mut [u8]) -> H5Result<()> {
-        self.read_exact(dst)
+        let mut filled = 0;
+        self.walk(dst.len(), |chunk| {
+            dst[filled..filled + chunk.len()].copy_from_slice(chunk);
+            filled += chunk.len();
+        })
     }
 
-    /// Skip `n` bytes (part-slicing, no copy).
+    /// Skip `n` bytes (cursor moves, no copy).
     pub fn skip(&mut self, n: usize) -> H5Result<()> {
-        if n > self.p.len() {
-            return Err(self.truncated(n));
-        }
-        self.p.advance(n);
-        Ok(())
+        self.walk(n, |_| {})
     }
 
     /// Bytes remaining past the cursor.
     pub fn remaining(&self) -> usize {
-        self.p.len()
+        self.left
     }
 
-    fn read_exact(&mut self, dst: &mut [u8]) -> H5Result<()> {
-        if !self.p.copy_prefix(dst) {
-            return Err(self.truncated(dst.len()));
+    /// Move the cursor `n` bytes forward, handing each part's covered
+    /// chunk to `visit` in order. Fails without moving when fewer than
+    /// `n` bytes remain.
+    fn walk(&mut self, n: usize, mut visit: impl FnMut(&[u8])) -> H5Result<()> {
+        if n > self.left {
+            return Err(self.truncated(n));
         }
-        self.p.advance(dst.len());
+        let mut todo = n;
+        while todo > 0 {
+            let part = &self.p.parts()[self.part];
+            let take = (part.len() - self.off).min(todo);
+            visit(&part[self.off..self.off + take]);
+            todo -= take;
+            self.off += take;
+            // Parts are never empty, so stepping past a drained part always
+            // lands on a byte (or at the end).
+            if self.off == part.len() {
+                self.part += 1;
+                self.off = 0;
+            }
+        }
+        self.left -= n;
         Ok(())
     }
 
     fn truncated(&self, need: usize) -> H5Error {
-        H5Error::Format(format!(
-            "truncated reply payload: need {need} bytes, have {}",
-            self.p.len()
-        ))
+        H5Error::Format(format!("truncated reply payload: need {need} bytes, have {}", self.left))
     }
 }
 

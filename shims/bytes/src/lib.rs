@@ -6,6 +6,12 @@
 //! [`BufMut`] write trait. Cloning a `Bytes` is an `Arc` refcount bump and
 //! `slice` shares the same allocation, which is what makes shallow-copy
 //! (zero-copy) message payloads meaningful inside one address space.
+//!
+//! As upstream, the owning conversions — `From<Vec<u8>>`,
+//! `From<Box<[u8]>>`, `From<String>` and [`BytesMut::freeze`] — transfer
+//! ownership of the source allocation in O(1): no byte is copied, and the
+//! spare capacity of a frozen `Vec` stays with the buffer (upstream keeps
+//! it too). Empty buffers allocate nothing.
 
 // These crates mirror upstream APIs verbatim, so API-shape lints
 // (method names, arg conventions) do not apply to them.
@@ -17,20 +23,21 @@ use std::sync::Arc;
 /// A refcounted, immutable byte buffer. Clones and slices share storage.
 #[derive(Clone)]
 pub struct Bytes {
-    data: Arc<[u8]>,
+    /// The owned allocation; `None` for an empty buffer.
+    data: Option<Arc<Vec<u8>>>,
     start: usize,
     end: usize,
 }
 
 impl Bytes {
-    /// An empty buffer (no allocation is shared, but none is needed).
-    pub fn new() -> Self {
-        Bytes { data: Arc::from(&[][..]), start: 0, end: 0 }
+    /// An empty buffer (allocates nothing).
+    pub const fn new() -> Self {
+        Bytes { data: None, start: 0, end: 0 }
     }
 
     /// Copy `src` into a fresh refcounted buffer.
     pub fn copy_from_slice(src: &[u8]) -> Self {
-        Bytes { data: Arc::from(src), start: 0, end: src.len() }
+        Bytes::from(src.to_vec())
     }
 
     /// Wrap a static slice (copied; the real crate borrows, but the
@@ -60,11 +67,14 @@ impl Bytes {
             Bound::Unbounded => self.len(),
         };
         assert!(lo <= hi && hi <= self.len(), "slice {lo}..{hi} out of range for {}", self.len());
-        Bytes { data: Arc::clone(&self.data), start: self.start + lo, end: self.start + hi }
+        Bytes { data: self.data.clone(), start: self.start + lo, end: self.start + hi }
     }
 
     pub fn as_ref(&self) -> &[u8] {
-        &self.data[self.start..self.end]
+        match &self.data {
+            Some(v) => &v[self.start..self.end],
+            None => &[],
+        }
     }
 }
 
@@ -137,9 +147,14 @@ impl std::hash::Hash for Bytes {
 }
 
 impl From<Vec<u8>> for Bytes {
+    /// Take ownership of `v`'s allocation (spare capacity included); no
+    /// byte is copied.
     fn from(v: Vec<u8>) -> Self {
+        if v.is_empty() {
+            return Bytes::new();
+        }
         let len = v.len();
-        Bytes { data: Arc::from(v.into_boxed_slice()), start: 0, end: len }
+        Bytes { data: Some(Arc::new(v)), start: 0, end: len }
     }
 }
 
@@ -163,8 +178,7 @@ impl From<&'static str> for Bytes {
 
 impl From<Box<[u8]>> for Bytes {
     fn from(b: Box<[u8]>) -> Self {
-        let len = b.len();
-        Bytes { data: Arc::from(b), start: 0, end: len }
+        Bytes::from(b.into_vec())
     }
 }
 
@@ -286,7 +300,7 @@ mod tests {
         let b = Bytes::from(vec![1u8, 2, 3, 4, 5]);
         let s = b.slice(1..4);
         assert_eq!(&s[..], &[2, 3, 4]);
-        assert_eq!(Arc::strong_count(&b.data), 2);
+        assert_eq!(Arc::strong_count(b.data.as_ref().unwrap()), 2);
         let s2 = s.slice(1..);
         assert_eq!(&s2[..], &[3, 4]);
     }
@@ -301,6 +315,46 @@ mod tests {
         assert_eq!(b.len(), 14);
         assert_eq!(u32::from_le_bytes(b[..4].try_into().unwrap()), 7);
         assert_eq!(&b[12..], b"xy");
+    }
+
+    #[test]
+    fn owning_conversions_keep_the_source_allocation() {
+        let v = vec![1u8, 2, 3, 4, 5];
+        let ptr = v.as_ptr();
+        let b = Bytes::from(v);
+        assert_eq!(b.as_ptr(), ptr);
+        assert_eq!(b.slice(2..).as_ptr(), ptr.wrapping_add(2));
+
+        let boxed: Box<[u8]> = vec![6u8, 7, 8].into_boxed_slice();
+        let ptr = boxed.as_ptr();
+        assert_eq!(Bytes::from(boxed).as_ptr(), ptr);
+
+        let s = String::from("shared");
+        let ptr = s.as_ptr();
+        let b = Bytes::from(s);
+        assert_eq!(b.as_ptr(), ptr);
+        assert_eq!(&b.slice(1..3)[..], b"ha");
+
+        let mut m = BytesMut::with_capacity(64);
+        m.put_slice(b"frozen");
+        let ptr = m.as_ptr();
+        let b = m.freeze();
+        assert_eq!(b.as_ptr(), ptr);
+        assert_eq!(b.slice(3..).as_ptr(), ptr.wrapping_add(3));
+        // The spare capacity travels with the allocation, as upstream.
+        assert_eq!(b.data.as_ref().unwrap().capacity(), 64);
+    }
+
+    #[test]
+    fn empty_buffers_allocate_nothing() {
+        for b in
+            [Bytes::new(), Bytes::default(), Bytes::from(Vec::new()), Bytes::copy_from_slice(&[])]
+        {
+            assert!(b.data.is_none());
+            assert!(b.is_empty());
+            assert_eq!(&b[..], &[] as &[u8]);
+            assert!(b.slice(..).is_empty());
+        }
     }
 
     #[test]
