@@ -28,11 +28,11 @@
 //! the destination buffer with a [`PayloadReader`], a forward cursor over
 //! the parts, so each segment costs its own bytes whatever the part
 //! count; the packed buffer is then returned as `Bytes` without a copy.
-//! Deep regions (`set_zero_copy(…, false)`) keep the historical
-//! gather-copy, counted under `obsv::Ctr::BytesCopied`. Every reply also
-//! carries the file's write *generation*, which consumers use to
-//! invalidate their fetch caches when a producer rewrites a file in
-//! place.
+//! Deep regions (`set_zero_copy(…, false)`) are gathered instead: one
+//! copy into one buffer per reply body, counted under
+//! `obsv::Ctr::BytesCopied`. Every reply also carries the file's write
+//! *generation*, which consumers use to invalidate their fetch caches
+//! when a producer rewrites a file in place.
 
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -811,14 +811,21 @@ impl DistMetadataVol {
             frame.put_u64(len);
         }
         frame.put_blob_len(blob_len);
+        // Shallow slices are lent as they are; each stretch of deep ones
+        // is gathered into one exactly-sized buffer, lent as one part.
         let mut deep_bytes = 0u64;
-        for (b, own) in slices {
-            match own {
-                Ownership::Shallow => frame.lend(b),
+        for group in slices.chunk_by_mut(|a, b| a.1 == b.1) {
+            match group[0].1 {
+                Ownership::Shallow => {
+                    group.iter_mut().for_each(|(b, _)| frame.lend(std::mem::take(b)))
+                }
                 Ownership::Deep => {
-                    deep_bytes += b.len() as u64;
-                    obsv::counter_add(obsv::Ctr::BytesCopied, b.len() as u64);
-                    frame.lend(Bytes::copy_from_slice(&b));
+                    let n: usize = group.iter().map(|(b, _)| b.len()).sum();
+                    let mut gathered = Vec::with_capacity(n);
+                    group.iter().for_each(|(b, _)| gathered.extend_from_slice(b));
+                    deep_bytes += n as u64;
+                    obsv::counter_add(obsv::Ctr::BytesCopied, n as u64);
+                    frame.lend(Bytes::from(gathered));
                 }
             }
         }

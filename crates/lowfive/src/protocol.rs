@@ -255,104 +255,228 @@ fn check_codec_allowed(codec: u8, allowed: u64) -> H5Result<()> {
 /// period re-introduces a nonzero delta every 8 bytes). The same trick
 /// as PNG's `Sub` filter at bpp stride, or HDF5's shuffle+delta.
 const DELTA_LAG: usize = 8;
+// The codec's word-at-a-time loops rest on the lag being one `u64` word.
+const _: () = assert!(DELTA_LAG == std::mem::size_of::<u64>());
+
+/// Low seven bits of every byte lane of a `u64` word.
+const LANES_LO7: u64 = 0x7F7F_7F7F_7F7F_7F7F;
+/// High bit of every byte lane of a `u64` word.
+const LANES_HI: u64 = 0x8080_8080_8080_8080;
+
+/// Lane-wise wrapping `a - b` over the eight bytes of two words (SWAR):
+/// the high bit of each lane is handled apart so no borrow crosses a
+/// lane boundary.
+fn lanes_sub(a: u64, b: u64) -> u64 {
+    ((a | LANES_HI) - (b & LANES_LO7)) ^ ((a ^ !b) & LANES_HI)
+}
+
+/// Lane-wise wrapping `a + b` over the eight bytes of two words (SWAR).
+fn lanes_add(a: u64, b: u64) -> u64 {
+    ((a & LANES_LO7) + (b & LANES_LO7)) ^ ((a ^ b) & LANES_HI)
+}
+
+/// The high bit of every nonzero byte lane of `x`, and nothing else.
+fn nonzero_lanes(x: u64) -> u64 {
+    (((x & LANES_LO7) + LANES_LO7) | x) & LANES_HI
+}
+
+/// Greedy run builder behind [`rle_encode`]: the open run is
+/// `(val, len)`; closed runs are `(count, byte)` pairs written into
+/// `out[..n]`. One word closes at most eight runs, so a caller that
+/// stops once `n` reaches the bail-out bound needs a buffer only one
+/// word's worth of pairs (16 bytes) longer than that bound.
+struct RunWriter {
+    out: Vec<u8>,
+    n: usize,
+    val: u8,
+    len: usize,
+}
+
+impl RunWriter {
+    /// Close a run of `count` bytes of the open value.
+    #[inline(always)]
+    fn close(&mut self, count: usize, val: u8) {
+        let n = self.n;
+        self.out[n..n + 2].copy_from_slice(&[count as u8, val]);
+        self.n = n + 2;
+    }
+
+    /// Extend the run stream by one byte.
+    #[inline(always)]
+    fn byte(&mut self, v: u8) {
+        if v == self.val && self.len < 255 {
+            self.len += 1;
+        } else {
+            self.close(self.len, self.val);
+            self.val = v;
+            self.len = 1;
+        }
+    }
+
+    /// Extend the run stream by the eight bytes of `v`, lowest first.
+    /// Lane `j` starts a new run where it differs from lane `j - 1` (lane
+    /// 0 from the open run's value). An edge closes the open run at most
+    /// 7 lanes in, so the 255 cap only needs byte steps once the open run
+    /// is longer than 248.
+    #[inline(always)]
+    fn word(&mut self, v: u64) {
+        let mut edges = nonzero_lanes(v ^ (v << 8 | self.val as u64));
+        if edges == 0 {
+            self.len += 8;
+            if self.len > 255 {
+                // The run hit its cap inside this word; the rest of the
+                // word opens the next run of the same value.
+                self.len -= 255;
+                self.close(255, self.val);
+            }
+        } else if self.len > 255 - 7 {
+            v.to_le_bytes().into_iter().for_each(|b| self.byte(b));
+        } else {
+            // Each edge closes the run before it; the run left open is
+            // the one holding lane 7.
+            let (mut count, mut val, mut from) = (self.len, self.val, 0);
+            while edges != 0 {
+                let at = (edges.trailing_zeros() / 8) as usize;
+                self.close(count + at - from, val);
+                val = (v >> (8 * at)) as u8;
+                count = 0;
+                from = at;
+                edges &= edges - 1;
+            }
+            self.val = val;
+            self.len = 8 - from;
+        }
+    }
+}
 
 /// Run-length encode the concatenation of `parts` (after a wrapping
 /// lag-[`DELTA_LAG`] delta transform when `delta`), prefix byte and
 /// `raw_len` header included. Returns `None` unless the result is
 /// strictly smaller than the raw alternative (`1 + raw_len` bytes) — the
 /// caller then ships the original parts untouched.
+///
+/// The canonical encoding (greedy maximal runs of at most 255, deltas
+/// against a zero-initialized lag ring carried across parts) is built a
+/// word at a time: each 8-byte word of a part is differenced against
+/// the 8 stream bytes before it in one lane-wise subtract, and only a
+/// part's sub-word tail goes byte by byte. Once the pairs written so
+/// far plus the open run reach `1 + raw_len` bytes the frame cannot win,
+/// so the encoder gives up there, checking once per word. The output
+/// buffer is sized once, at that bound plus one word's worth of pairs,
+/// and trimmed to its length, so the returned buffer carries no spare
+/// capacity.
 fn rle_encode(parts: &[Bytes], delta: bool, codec: u8) -> Option<Vec<u8>> {
     let raw_len: usize = parts.iter().map(|p| p.len()).sum();
     let limit = raw_len + 1;
-    let mut out = Vec::with_capacity(64.min(limit));
-    out.push(codec);
-    out.extend_from_slice(&(raw_len as u64).to_le_bytes());
-    let mut ring = [0u8; DELTA_LAG];
-    let mut pos = 0usize;
-    let mut run: Option<(u8, usize)> = None;
-    for &b in parts.iter().flat_map(|p| p.iter()) {
-        let v = if delta {
-            let d = b.wrapping_sub(ring[pos]);
-            ring[pos] = b;
-            pos = (pos + 1) % DELTA_LAG;
-            d
-        } else {
-            b
-        };
-        match &mut run {
-            Some((val, count)) if *val == v && *count < 255 => *count += 1,
-            _ => {
-                if let Some((val, count)) = run.take() {
-                    out.push(count as u8);
-                    out.push(val);
-                    // Incompressible input can only grow from here; bail
-                    // before ballooning to 2x the raw body.
-                    if out.len() + 2 >= limit {
-                        return None;
-                    }
-                }
-                run = Some((v, 1));
+    // Header plus one pair is already 11 bytes: nothing shorter can win.
+    if limit <= 11 {
+        return None;
+    }
+    let mut w = RunWriter {
+        out: vec![0u8; limit + 16],
+        n: 9,
+        // The first value is the first byte either way (the ring starts
+        // zeroed), so the run opens empty on it and needs no start state.
+        val: parts.iter().find_map(|p| p.first().copied()).unwrap_or(0),
+        len: 0,
+    };
+    w.out[0] = codec;
+    w.out[1..9].copy_from_slice(&(raw_len as u64).to_le_bytes());
+    // The last eight stream bytes, oldest in the low lane: the lag ring.
+    let mut ring = 0u64;
+    for part in parts {
+        let mut words = part.chunks_exact(8);
+        for c in &mut words {
+            let b = u64::from_le_bytes(c.try_into().expect("8-byte chunk"));
+            w.word(if delta { lanes_sub(b, ring) } else { b });
+            ring = b;
+            if w.n + 2 >= limit {
+                return None;
+            }
+        }
+        for &b in words.remainder() {
+            w.byte(if delta { b.wrapping_sub(ring as u8) } else { b });
+            ring = ring >> 8 | (b as u64) << 56;
+            if w.n + 2 >= limit {
+                return None;
             }
         }
     }
-    if let Some((val, count)) = run {
-        out.push(count as u8);
-        out.push(val);
-    }
-    (out.len() < limit).then_some(out)
+    w.close(w.len, w.val);
+    let mut out = w.out;
+    out.truncate(w.n);
+    out.shrink_to_fit();
+    Some(out)
 }
 
 /// Expand an RLE (or delta-RLE) body. Every declared quantity is checked
 /// against the bytes actually present before allocating: the pair stream
 /// must be even, runs must be non-empty, and the expansion must land on
-/// `raw_len` exactly.
+/// `raw_len` exactly. Runs fill a buffer of exactly `raw_len` bytes in
+/// order, short ones as a single word store; a delta body is then
+/// integrated a word at a time.
 fn rle_decode(parts: &[Bytes], delta: bool) -> H5Result<Bytes> {
-    let total: usize = parts.iter().map(|p| p.len()).sum();
+    let joined: Vec<u8>;
+    let src: &[u8] = match parts {
+        [one] => one,
+        _ => {
+            joined = parts.iter().flat_map(|p| p.iter().copied()).collect();
+            &joined
+        }
+    };
+    let total = src.len();
     if total < 8 || !(total - 8).is_multiple_of(2) {
         return Err(H5Error::Format(format!("malformed rle frame: {total} bytes")));
     }
-    let mut it = parts.iter().flat_map(|p| p.iter().copied());
-    let mut hdr = [0u8; 8];
-    for b in hdr.iter_mut() {
-        *b = it.next().expect("length checked above");
-    }
-    let raw_len = u64::from_le_bytes(hdr);
-    let pairs = (total - 8) / 2;
+    let (hdr, pair_bytes) = src.split_at(8);
+    let raw_len = u64::from_le_bytes(hdr.try_into().expect("8-byte header"));
+    let pairs = pair_bytes.len() / 2;
     if raw_len as u128 > (pairs as u128) * 255 {
         return Err(H5Error::Format(format!(
             "rle declared length {raw_len} exceeds {pairs} run pairs"
         )));
     }
-    let mut out = Vec::with_capacity(raw_len as usize);
-    let mut ring = [0u8; DELTA_LAG];
-    let mut pos = 0usize;
-    for _ in 0..pairs {
-        let count = it.next().expect("length checked above");
-        let byte = it.next().expect("length checked above");
+    let mut out = vec![0u8; raw_len as usize];
+    let mut at = 0usize;
+    for pair in pair_bytes.chunks_exact(2) {
+        let (count, byte) = (pair[0] as usize, pair[1]);
         if count == 0 {
             return Err(H5Error::Format("zero-length rle run".into()));
         }
-        if out.len() + count as usize > raw_len as usize {
+        if at + count > out.len() {
             return Err(H5Error::Format(format!("rle runs overflow declared length {raw_len}")));
         }
-        if delta {
-            for _ in 0..count {
-                let b = byte.wrapping_add(ring[pos]);
-                ring[pos] = b;
-                pos = (pos + 1) % DELTA_LAG;
-                out.push(b);
-            }
+        if count <= 8 && at + 8 <= out.len() {
+            // One word store; the bytes it writes past the run belong to
+            // later runs, which overwrite them.
+            out[at..at + 8].copy_from_slice(&[byte; 8]);
         } else {
-            out.extend(std::iter::repeat_n(byte, count as usize));
+            out[at..at + count].fill(byte);
         }
+        at += count;
     }
-    if out.len() as u64 != raw_len {
-        return Err(H5Error::Format(format!(
-            "rle expanded to {} bytes, declared {raw_len}",
-            out.len()
-        )));
+    if at != out.len() {
+        return Err(H5Error::Format(format!("rle expanded to {at} bytes, declared {raw_len}")));
+    }
+    if delta {
+        undo_delta(&mut out);
     }
     Ok(Bytes::from(out))
+}
+
+/// Invert the lag-[`DELTA_LAG`] delta in place: each word adds the
+/// already-restored word before it (zeros before the first).
+fn undo_delta(buf: &mut [u8]) {
+    let mut ring = 0u64;
+    let mut words = buf.chunks_exact_mut(8);
+    for c in &mut words {
+        ring = lanes_add(u64::from_le_bytes((&*c).try_into().expect("8-byte chunk")), ring);
+        c.copy_from_slice(&ring.to_le_bytes());
+    }
+    for b in words.into_remainder() {
+        *b = b.wrapping_add(ring as u8);
+        ring = ring >> 8 | (*b as u64) << 56;
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -1506,6 +1630,21 @@ mod tests {
         assert!(delta.len() < smooth.len() / 4, "delta {} of {}", delta.len(), smooth.len());
         let back = decode_coded_payload(delta, CAP_ALL).unwrap();
         assert_eq!(&back.to_bytes()[..], &smooth[..]);
+    }
+
+    #[test]
+    fn compressed_output_keeps_no_spare_capacity() {
+        // The frozen reply `Bytes` owns the encoder's `Vec` as is, so any
+        // spare capacity would stay allocated until the reply is dropped.
+        let ramp: Vec<u8> = (0u64..40_000).flat_map(|v| (v * 3).to_le_bytes()).collect();
+        let parts: Vec<Bytes> = ramp.chunks(320).map(Bytes::copy_from_slice).collect();
+        for (delta, codec) in [(false, CODEC_RLE), (true, CODEC_DELTA_RLE)] {
+            for body in [&parts[..], &[Bytes::from(ramp.clone())][..]] {
+                let out = rle_encode(body, delta, codec).expect("a ramp compresses");
+                assert!(out.len() < ramp.len(), "codec {codec}");
+                assert_eq!(out.capacity(), out.len(), "codec {codec}");
+            }
+        }
     }
 
     #[test]

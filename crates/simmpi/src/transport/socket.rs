@@ -20,17 +20,18 @@
 //!   honoring the mailbox receive window ([`Mailbox::wait_below`]) so a
 //!   slow receiver backs pressure up the wire.
 //!
-//! Multi-part payloads are written part by part — no gather copy on the
-//! send side (`BytesCopied` stays untouched) — and arrive as `len`
-//! contiguous bytes: the wire form *is* the flattened form, so zero-copy
-//! lends degrade to exactly one serialize.
+//! Multi-part payloads are written as one vectored write of the header
+//! and every part — no gather copy on the send side (`BytesCopied` stays
+//! untouched) — and arrive as `len` contiguous bytes: the wire form *is*
+//! the flattened form, so zero-copy lends degrade to exactly one
+//! serialize.
 //!
 //! The fault injector's reorder crosses the wire as the frame header's
 //! [`FRONT_FLAG`]; frames stay FIFO on the wire (sequence numbers remain
 //! consecutive) and the *reader* applies the front-of-mailbox insertion.
 
 use std::collections::VecDeque;
-use std::io::{Read, Write};
+use std::io::{IoSlice, Read, Write};
 use std::net::{TcpListener, TcpStream};
 #[cfg(unix)]
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -73,6 +74,14 @@ impl Write for Conn {
             #[cfg(unix)]
             Conn::Unix(s) => s.write(buf),
             Conn::Tcp(s) => s.write(buf),
+        }
+    }
+
+    fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> std::io::Result<usize> {
+        match self {
+            #[cfg(unix)]
+            Conn::Unix(s) => s.write_vectored(bufs),
+            Conn::Tcp(s) => s.write_vectored(bufs),
         }
     }
 
@@ -373,11 +382,23 @@ fn writer_loop(shared: &Shared, dest: usize, mut conn: Conn) {
 }
 
 /// Header, then every payload part in order — the wire is where a
-/// multi-part payload flattens, with no intermediate gather buffer.
+/// multi-part payload flattens, with no intermediate gather buffer. The
+/// whole frame goes down as vectored writes: one syscall per frame
+/// unless the socket takes it in pieces (or it has more parts than one
+/// `writev` accepts), in which case the write resumes where it stopped.
 fn write_frame(conn: &mut Conn, frame: &QueuedFrame) -> std::io::Result<()> {
-    conn.write_all(&frame.header.encode())?;
-    for part in frame.payload.parts() {
-        conn.write_all(part.as_ref())?;
+    let header = frame.header.encode();
+    let mut slices: Vec<IoSlice<'_>> = std::iter::once(IoSlice::new(&header))
+        .chain(frame.payload.parts().iter().map(|p| IoSlice::new(p)))
+        .collect();
+    let mut rest = &mut slices[..];
+    while !rest.is_empty() {
+        match conn.write_vectored(rest) {
+            Ok(0) => return Err(std::io::ErrorKind::WriteZero.into()),
+            Ok(n) => IoSlice::advance_slices(&mut rest, n),
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
     }
     conn.flush()
 }

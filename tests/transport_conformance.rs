@@ -22,8 +22,8 @@ use lowfive::DistVolBuilder;
 use minih5::{Dataspace, Datatype, Selection, Vol, H5};
 use proptest::prelude::*;
 use simmpi::{
-    FaultKind, FaultPlan, RecvError, SendError, SocketConfig, TaskSpec, TaskWorld, TransportKind,
-    World, ANY_SOURCE, ANY_TAG,
+    FaultKind, FaultPlan, RecvError, SendError, SocketConfig, SocketMode, TaskSpec, TaskWorld,
+    TransportKind, World, ANY_SOURCE, ANY_TAG,
 };
 
 /// Every backend the suite must hold for.
@@ -199,6 +199,42 @@ fn parts_and_contiguous_forms_are_byte_identical() {
             }
         });
     });
+}
+
+#[test]
+fn many_part_frames_arrive_byte_identical_on_uds_and_tcp() {
+    // The socket writer sends a frame as vectored writes. 3,000 1-byte
+    // parts are more than one `writev` takes, so the write resumes at a
+    // part boundary; the part larger than the kernel's largest send
+    // buffer (4 MiB on Linux by default) only fits while the reader
+    // drains. Either way the frame must arrive byte for byte.
+    const BIG: usize = (4 << 20) + 4099;
+    let payload = || {
+        let tiny = |i: usize| bytes::Bytes::from(vec![(i * 7) as u8]);
+        let big: Vec<u8> = (0..BIG).map(|i| (i % 251) as u8).collect();
+        let parts: Vec<bytes::Bytes> = (0..1500)
+            .map(tiny)
+            .chain(std::iter::once(bytes::Bytes::from(big)))
+            .chain((1500..3000).map(tiny))
+            .collect();
+        simmpi::Payload::from_parts(parts)
+    };
+    let want = payload().to_bytes();
+    for mode in [SocketMode::Unix, SocketMode::Tcp] {
+        let cfg = SocketConfig { mode, ..SocketConfig::default() };
+        World::builder(2).transport(TransportKind::Socket).socket_config(cfg).run(|c| {
+            if c.rank() == 0 {
+                c.send_parts(1, 9, payload());
+                c.send_parts(1, 9, payload());
+            } else {
+                for _ in 0..2 {
+                    let env = c.recv_parts(0.into(), 9.into());
+                    assert_eq!(env.payload.len(), want.len(), "[{mode:?}] frame length");
+                    assert!(env.payload.to_bytes() == want, "[{mode:?}] frame bytes differ");
+                }
+            }
+        });
+    }
 }
 
 #[test]
